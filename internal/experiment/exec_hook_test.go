@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"gossipmia/internal/spec"
@@ -111,17 +112,18 @@ func TestExecHookDecline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offered := 0
+	// The engine calls the hook from its arm workers concurrently.
+	var offered atomic.Int32
 	declined, err := RunSpecExec(t.Context(), sweepSpec(), sc, nil,
 		func(ctx context.Context, u ArmUnit) (Arm, bool, error) {
-			offered++
+			offered.Add(1)
 			return Arm{}, false, nil
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if offered != 3 {
-		t.Fatalf("hook consulted for %d arms, want 3", offered)
+	if n := offered.Load(); n != 3 {
+		t.Fatalf("hook consulted for %d arms, want 3", n)
 	}
 	if figureDump(ref) != figureDump(declined) {
 		t.Fatal("declining hook diverged from plain run")

@@ -95,7 +95,8 @@ type ArmUnit struct {
 // arm (transience decided by the usual core taxonomy); with a nil
 // error the returned Arm is taken as the unit's result and its
 // records are replayed into the arm's sinks, so event streams stay
-// byte-identical to local execution.
+// byte-identical to local execution. The engine calls it concurrently
+// from its arm workers, so it must be safe for concurrent use.
 type ArmExecutor func(ctx context.Context, u ArmUnit) (Arm, bool, error)
 
 // specHooks customize the executor per arm: a cache lookup that can

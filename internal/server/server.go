@@ -431,13 +431,12 @@ func (s *Server) liveJobs() int {
 	return n
 }
 
-// writeJSON writes one JSON response.
+// writeJSON writes one compact JSON response (one line; pipe it
+// through jq to read it).
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // writeErr writes the service's error envelope.

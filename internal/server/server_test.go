@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -328,6 +330,85 @@ func TestRequestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job -> %d", resp.StatusCode)
+	}
+}
+
+// TestCompactResponses pins the API's compact JSON: POST /v1/jobs and
+// GET /v1/jobs/{id} answer one line with no insignificant whitespace,
+// which decodes to the same JobStatus as the indented encoding the
+// service used to write.
+func TestCompactResponses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	svc := New(Config{DefaultScale: "tiny"})
+	ts := httptest.NewServer(svc)
+	t.Cleanup(func() {
+		svc.Close()
+		ts.Close()
+	})
+	compact := func(resp *http.Response, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode/100 != 2 {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		if bytes.IndexByte(body, '\n') != len(body)-1 {
+			t.Fatalf("response is not one line:\n%s", body)
+		}
+		var want bytes.Buffer
+		if err := json.Compact(&want, body); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Bytes(), body[:len(body)-1]) {
+			t.Fatalf("response is not compact:\n%s", body)
+		}
+		return body
+	}
+	decode := func(raw []byte) dlsim.JobStatus {
+		t.Helper()
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		var st dlsim.JobStatus
+		if err := dec.Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	req, err := json.Marshal(dlsim.JobRequest{Spec: smallSpec(), Scale: "tiny"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted := decode(compact(http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(req))))
+	if submitted.ID == "" || submitted.Spec != smallSpec().Name || submitted.Scale != "tiny" {
+		t.Fatalf("submitted status = %+v", submitted)
+	}
+	awaitStatus(t, dlsim.NewClient(ts.URL), submitted.ID, dlsim.StatusDone)
+	got := decode(compact(http.Get(ts.URL + "/v1/jobs/" + submitted.ID)))
+	if got.Status != dlsim.StatusDone || got.Key != submitted.Key || got.Result == nil || len(got.Result.Arms) != 2 {
+		t.Fatalf("finished status = %+v", got)
+	}
+
+	// The indented encoding of the same snapshot decodes identically.
+	svc.mu.Lock()
+	st := svc.statusOf(svc.jobs[submitted.ID], false)
+	svc.mu.Unlock()
+	var indented bytes.Buffer
+	enc := json.NewEncoder(&indented)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	if want := decode(indented.Bytes()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("compact status %+v, indented %+v", got, want)
 	}
 }
 

@@ -4,8 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"strings"
+	"unicode/utf8"
 
 	"gossipmia/internal/experiment"
 	"gossipmia/internal/spec"
@@ -129,19 +132,152 @@ type Axis struct {
 // compile converts the public spec into the engine's representation,
 // applying the engine's full structural validation (unknown names,
 // duplicate labels, shared seed offsets, unexpandable sweeps).
+//
+// The conversion is field by field, yet it yields exactly what the
+// spec's JSON encoding decodes to — the form a spec file or a
+// POST /v1/jobs body takes — so hashes, store keys and job dedup keys
+// do not depend on how a spec reached the engine: a NaN or infinite
+// float is an error, sweep values take their JSON-decoded form, strings
+// are made valid UTF-8, empty omitempty fields vanish, and nil vs empty
+// survives where JSON keeps it (members, axes, values).
 func (s *Spec) compile() (*spec.Spec, error) {
 	if s == nil {
 		return nil, fmt.Errorf("dlsim: nil spec")
 	}
-	raw, err := json.Marshal(s)
-	if err != nil {
-		return nil, fmt.Errorf("dlsim: encode spec: %w", err)
+	var c converter
+	sp := &spec.Spec{Name: validUTF8(s.Name), Caption: validUTF8(s.Caption)}
+	if len(s.Arms) > 0 {
+		sp.Arms = make([]spec.Arm, len(s.Arms))
+		for i := range s.Arms {
+			sp.Arms[i] = c.arm(&s.Arms[i])
+		}
 	}
-	sp, err := spec.Parse(raw)
-	if err != nil {
+	if s.Sweep != nil {
+		sp.Sweep = &spec.Sweep{Base: c.arm(&s.Sweep.Base)}
+		if s.Sweep.Axes != nil {
+			sp.Sweep.Axes = make([]spec.Axis, len(s.Sweep.Axes))
+			for i, ax := range s.Sweep.Axes {
+				sp.Sweep.Axes[i] = spec.Axis{Field: validUTF8(ax.Field), Values: c.values(ax.Values)}
+			}
+		}
+	}
+	if c.err != nil {
+		return nil, fmt.Errorf("dlsim: encode spec: %w", c.err)
+	}
+	if err := sp.Validate(); err != nil {
 		return nil, fmt.Errorf("dlsim: %w", err)
 	}
 	return sp, nil
+}
+
+// converter carries the first error of a spec conversion, so the
+// field-by-field copy reads straight through.
+type converter struct{ err error }
+
+func (c *converter) arm(a *Arm) spec.Arm {
+	out := spec.Arm{
+		Label:          validUTF8(a.Label),
+		Corpus:         validUTF8(a.Corpus),
+		Protocol:       validUTF8(a.Protocol),
+		ViewSize:       a.ViewSize,
+		Dynamics:       validUTF8(a.Dynamics),
+		Beta:           a.Beta,
+		Canaries:       a.Canaries,
+		SeedOffset:     a.SeedOffset,
+		ChurnFraction:  a.ChurnFraction,
+		TrainPerFactor: a.TrainPerFactor,
+		LocalEpochs:    a.LocalEpochs,
+	}
+	c.finite(a.Beta, a.ChurnFraction, a.TrainPerFactor)
+	if a.DP != nil {
+		dp := spec.DP(*a.DP)
+		c.finite(dp.Epsilon, dp.Delta, dp.Clip)
+		out.DP = &dp
+	}
+	if a.Net != nil {
+		n := a.Net
+		out.Net = &spec.Net{
+			Transport:             validUTF8(n.Transport),
+			LatencyMean:           n.LatencyMean,
+			LatencyJitter:         n.LatencyJitter,
+			BandwidthBytesPerTick: n.BandwidthBytesPerTick,
+			DropProb:              n.DropProb,
+		}
+		c.finite(n.LatencyMean, n.LatencyJitter, n.DropProb)
+		if len(n.Partitions) > 0 {
+			out.Net.Partitions = make([]spec.Partition, len(n.Partitions))
+			for i, p := range n.Partitions {
+				out.Net.Partitions[i] = spec.Partition(p)
+				out.Net.Partitions[i].Members = slices.Clone(p.Members)
+			}
+		}
+	}
+	if len(a.Churn) > 0 {
+		out.Churn = make([]spec.Churn, len(a.Churn))
+		for i, ev := range a.Churn {
+			out.Churn[i] = spec.Churn(ev)
+		}
+	}
+	if a.Train != nil {
+		t := spec.Train(*a.Train)
+		t.Hidden = nil
+		if len(a.Train.Hidden) > 0 {
+			t.Hidden = slices.Clone(a.Train.Hidden)
+		}
+		c.finite(t.LR, t.Momentum, t.WeightDecay, t.LRDecay)
+		out.Train = &t
+	}
+	return out
+}
+
+// finite rejects NaN and ±Inf, which JSON cannot carry.
+func (c *converter) finite(fs ...float64) {
+	for _, f := range fs {
+		if (math.IsNaN(f) || math.IsInf(f, 0)) && c.err == nil {
+			c.err = fmt.Errorf("unsupported value %v", f)
+		}
+	}
+}
+
+// validUTF8 returns s as JSON carries it: each byte of invalid UTF-8
+// becomes U+FFFD, which is also what a []rune conversion does.
+func validUTF8(s string) string {
+	if utf8.ValidString(s) {
+		return s
+	}
+	return string([]rune(s))
+}
+
+// values returns sweep axis values in their JSON-decoded form: numbers
+// are float64, and anything but a float64, int, string, bool or nil
+// takes the long way through encoding/json.
+func (c *converter) values(vs []any) []any {
+	if vs == nil {
+		return nil
+	}
+	out := make([]any, len(vs))
+	for i, v := range vs {
+		switch x := v.(type) {
+		case nil, bool:
+			out[i] = x
+		case string:
+			out[i] = validUTF8(x)
+		case float64:
+			c.finite(x)
+			out[i] = x
+		case int:
+			out[i] = float64(x)
+		default:
+			raw, err := json.Marshal(x)
+			if err == nil {
+				err = json.Unmarshal(raw, &out[i])
+			}
+			if err != nil && c.err == nil {
+				c.err = err
+			}
+		}
+	}
+	return out
 }
 
 // Validate reports structural errors in the spec without running it.

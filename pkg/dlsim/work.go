@@ -41,7 +41,9 @@ var ErrWorkerQuarantined = errors.New("dlsim: worker quarantined")
 // the arm locally. Return handled=true with a result to substitute
 // remote execution; the result must carry the records of the exact
 // ordered series the arm produces locally (guaranteed when the remote
-// side ran the same order through a Runner).
+// side ran the same order through a Runner). The Runner calls it
+// concurrently from its arm workers, so it must be safe for concurrent
+// use.
 type ArmExecutor func(ctx context.Context, order WorkOrder) (*ArmResult, bool, error)
 
 // WorkOrder is one leased arm execution: everything a worker needs to

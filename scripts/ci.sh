@@ -27,7 +27,7 @@ else
     echo "staticcheck not installed; skipping"
 fi
 go test -race ./...
-go test -run='^Fuzz' ./internal/wire
+go test -run='^Fuzz' ./internal/wire ./pkg/dlsim
 
 # pkg/dlsim API gate: the public SDK must not leak internal types into
 # its exported signatures (the stability promise of the package). The
