@@ -11,17 +11,16 @@
 //	dlsim run -spec sweep.json -scale tiny     # declarative spec, local
 //	dlsim run -spec sweep.json -remote http://127.0.0.1:8080
 //	                                           # submit to a service, stream events
-//	dlsim sweep -spec sweep.json -out runs/s   # persisted: manifest + caches + streams
+//	dlsim sweep -spec sweep.json -out runs/s   # persisted: manifest, streams, and
+//	                                           # arm caches in runs/s/store
 //	dlsim sweep -spec sweep.json -out runs/s -resume
-//	dlsim sweep -spec big.json -out runs/b -store
-//	                                           # arm caches in one embedded store
 //	dlsim serve -addr 127.0.0.1:8080           # HTTP/JSON job service
-//	dlsim serve -checkpoint cp -store cp/store # jobs share one result store
+//	dlsim serve -checkpoint cp                 # jobs share one result store, cp/store
 //	dlsim worker -server http://127.0.0.1:8080 # pull-mode worker: claim arms,
 //	                                           # execute, upload (fleet-scalable)
 //	dlsim list                                 # the scenario catalog
 //	dlsim list -jobs -addr URL -limit 20       # a service's job table, paged
-//	dlsim list -store runs/b/store -figure f2  # cached arms of a result store
+//	dlsim list -store runs/s/store -figure f2  # cached arms of a result store
 //	dlsim version                              # build + spec-schema identity
 //
 // The pre-subcommand flat invocation (dlsim -figure 3, dlsim -spec
@@ -35,7 +34,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -86,7 +84,7 @@ usage: dlsim <command> [flags]
 commands:
   run      run a figure/scenario or a declarative spec (locally or against -remote)
   sweep    run a spec persisted to a result directory (-out), resumable (-resume);
-           -store keeps arm caches in one embedded indexed store
+           arm caches live in the embedded result store OUT/store
   serve    expose the engine as an HTTP/JSON job service
   worker   pull arm work orders from a service (-server URL) and execute them;
            any number of workers form a fleet sharing the service's result store
@@ -120,9 +118,8 @@ func runAndSweep(cmd string, args []string) (retErr error) {
 	diag.register(fs)
 	figure := fs.String("figure", "all", `figure or scenario to run (see dlsim list): 2..9, "latency", "churn", "dynamics", "tables", "attacks", or "all"`)
 	specPath := fs.String("spec", "", "run a declarative scenario spec (JSON file) instead of a catalog figure")
-	outDir := fs.String("out", "", "result directory: manifest, per-arm caches, streamed events, results.csv (requires -spec)")
+	outDir := fs.String("out", "", "result directory: manifest, results.csv, streamed events, and the per-arm result store OUT/store (requires -spec)")
 	resume := fs.Bool("resume", false, "with -spec and -out: skip arms whose cached results already exist in the out directory")
-	useStore := fs.Bool("store", false, "with -out: keep per-arm caches in an embedded indexed result store under OUT/store instead of one JSON file per arm (same bytes, one log; resume scans the store once instead of opening a file per arm)")
 	events := fs.String("events", "jsonl", `with -out: per-arm event stream format, "jsonl", "csv", or "none"`)
 	remote := fs.String("remote", "", "submit the run to a dlsim service at this base URL instead of executing locally (requires -spec)")
 	list := fs.Bool("list", false, "print the available figures/scenarios and exit")
@@ -196,18 +193,18 @@ func runAndSweep(cmd string, args []string) (retErr error) {
 			return fmt.Errorf("network overlay flags cannot be combined with -spec: declare the network per arm in the spec file")
 		}
 		if *remote != "" {
-			if *outDir != "" || *resume || *useStore {
-				return fmt.Errorf("-out, -resume, and -store are local-run flags and cannot be combined with -remote")
+			if *outDir != "" || *resume {
+				return fmt.Errorf("-out and -resume are local-run flags and cannot be combined with -remote")
 			}
 			return runRemote(ctx, *remote, *specPath, *scaleName, *seed, *workers, *csv, *plotFlag)
 		}
-		return runSpecFile(ctx, *specPath, *scaleName, *seed, *workers, *outDir, *resume, *useStore, *events, *csv, *plotFlag)
+		return runSpecFile(ctx, *specPath, *scaleName, *seed, *workers, *outDir, *resume, *events, *csv, *plotFlag)
 	}
 	if *remote != "" {
 		return fmt.Errorf("-remote requires -spec (submit a spec file to the service)")
 	}
-	if *outDir != "" || *resume || *useStore {
-		return fmt.Errorf("-out, -resume, and -store require -spec")
+	if *outDir != "" || *resume {
+		return fmt.Errorf("-out and -resume require -spec")
 	}
 
 	switch *figure {
@@ -254,15 +251,12 @@ func newRunner(scaleName string, seed int64, workers int) (*dlsim.Runner, error)
 }
 
 // runSpecFile loads and runs a declarative spec through the SDK,
-// optionally persisting the run (manifest, caches, event streams) to a
-// result directory — with -store, per-arm caches go to the embedded
-// result store under outDir/store instead of one file per arm.
-func runSpecFile(ctx context.Context, path, scaleName string, seed int64, workers int, outDir string, resume, useStore bool, events string, csv, renderPlot bool) error {
+// optionally persisting the run (manifest, event streams, and the
+// per-arm caches in the result store outDir/store) to a result
+// directory.
+func runSpecFile(ctx context.Context, path, scaleName string, seed int64, workers int, outDir string, resume bool, events string, csv, renderPlot bool) error {
 	if resume && outDir == "" {
 		return fmt.Errorf("-resume requires -out")
-	}
-	if useStore && outDir == "" {
-		return fmt.Errorf("-store requires -out")
 	}
 	sp, err := dlsim.LoadSpec(path)
 	if err != nil {
@@ -276,12 +270,8 @@ func runSpecFile(ctx context.Context, path, scaleName string, seed int64, worker
 	if outDir == "" {
 		res, err = runner.Run(ctx, sp)
 	} else {
-		opts := dlsim.DirOptions{OutDir: outDir, Resume: resume, Events: events}
-		if useStore {
-			opts.StoreDir = filepath.Join(outDir, "store")
-		}
 		var report *dlsim.RunReport
-		res, report, err = runner.RunDir(ctx, sp, opts)
+		res, report, err = runner.RunDir(ctx, sp, dlsim.DirOptions{OutDir: outDir, Resume: resume, Events: events})
 		if err == nil {
 			cached := 0
 			for _, a := range report.Arms {

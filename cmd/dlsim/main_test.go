@@ -269,16 +269,19 @@ func TestRunSpecFlagValidation(t *testing.T) {
 	if err := run([]string{"-spec", filepath.Join(t.TempDir(), "missing.json")}); err == nil {
 		t.Fatal("missing spec file accepted")
 	}
-	if err := run([]string{"-spec", "x.json", "-store"}); err == nil ||
-		!strings.Contains(err.Error(), "-store requires -out") {
-		t.Fatalf("-store without -out: %v", err)
+	// -out is always store-backed: run/sweep have no -store switch.
+	for _, args := range [][]string{
+		{"-spec", "x.json", "-store"},
+		{"sweep", "-spec", "x.json", "-out", "d", "-store"},
+	} {
+		if err := run(args); err == nil ||
+			!strings.Contains(err.Error(), "flag provided but not defined: -store") {
+			t.Fatalf("%v: %v, want an undefined-flag error", args, err)
+		}
 	}
-	if err := run([]string{"-store"}); err == nil {
-		t.Fatal("-store without -spec accepted")
-	}
-	if err := run([]string{"run", "-spec", "x.json", "-remote", "http://x", "-store"}); err == nil ||
+	if err := run([]string{"run", "-spec", "x.json", "-remote", "http://x", "-out", "d"}); err == nil ||
 		!strings.Contains(err.Error(), "cannot be combined with -remote") {
-		t.Fatalf("-store with -remote: %v", err)
+		t.Fatalf("-out with -remote: %v", err)
 	}
 	if err := run([]string{"-spec", writeTestSpec(t), "-out", filepath.Join(t.TempDir(), "o"), "-events", "bogus"}); err == nil ||
 		!strings.Contains(err.Error(), "unknown event format") {
@@ -319,38 +322,35 @@ func TestListFlagValidation(t *testing.T) {
 	}
 }
 
-// TestSweepStoreTiny: a -store sweep produces the same results.csv as
-// the file backend, keeps no per-arm files, resumes from the store, and
-// its arms are visible through dlsim list -store.
+// TestSweepStoreTiny: an -out sweep caches its arms in OUT/store and
+// keeps no per-arm files, a resume served from the store reproduces
+// the same results.csv, and the arms are visible through dlsim list
+// -store.
 func TestSweepStoreTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a simulation")
 	}
 	path := writeTestSpec(t)
-	fileOut := filepath.Join(t.TempDir(), "file")
-	storeOut := filepath.Join(t.TempDir(), "store")
-	if err := run([]string{"sweep", "-spec", path, "-scale", "tiny", "-out", fileOut}); err != nil {
-		t.Fatalf("file sweep: %v", err)
+	storeOut := filepath.Join(t.TempDir(), "out")
+	if err := run([]string{"sweep", "-spec", path, "-scale", "tiny", "-out", storeOut}); err != nil {
+		t.Fatalf("sweep: %v", err)
 	}
-	if err := run([]string{"sweep", "-spec", path, "-scale", "tiny", "-out", storeOut, "-store"}); err != nil {
-		t.Fatalf("store sweep: %v", err)
-	}
-	want, err := os.ReadFile(filepath.Join(fileOut, "results.csv"))
+	want, err := os.ReadFile(filepath.Join(storeOut, "results.csv"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(storeOut, "arms")); !os.IsNotExist(err) {
+		t.Fatalf("sweep left an arms directory (stat err %v)", err)
+	}
+	if err := run([]string{"sweep", "-spec", path, "-scale", "tiny", "-out", storeOut, "-resume"}); err != nil {
+		t.Fatalf("store resume: %v", err)
 	}
 	got, err := os.ReadFile(filepath.Join(storeOut, "results.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(want) {
-		t.Fatalf("store-backed results.csv differs:\n%s\nvs\n%s", got, want)
-	}
-	if _, err := os.Stat(filepath.Join(storeOut, "arms")); !os.IsNotExist(err) {
-		t.Fatalf("store sweep left an arms directory (stat err %v)", err)
-	}
-	if err := run([]string{"sweep", "-spec", path, "-scale", "tiny", "-out", storeOut, "-store", "-resume"}); err != nil {
-		t.Fatalf("store resume: %v", err)
+		t.Fatalf("store-resumed results.csv differs:\n%s\nvs\n%s", got, want)
 	}
 	if err := run([]string{"list", "-store", filepath.Join(storeOut, "store")}); err != nil {
 		t.Fatalf("list -store: %v", err)

@@ -32,7 +32,7 @@ func serveCmd(args []string) error {
 	retries := fs.Int("retries", 1, "execution attempts per job; transient failures retry with backoff up to this budget")
 	retryBase := fs.Duration("retry-base", 100*time.Millisecond, "base delay of the job retry backoff")
 	checkpoint := fs.String("checkpoint", "", "directory for per-job checkpoint caches; retries and restarts resume from it")
-	storeDir := fs.String("store", "", "embedded result store directory shared by every job's arm caches (requires -checkpoint); content-hash keys dedup arms across jobs and restarts")
+	storeDir := fs.String("store", "", "embedded result store directory shared by every job's arm caches (requires -checkpoint; default CHECKPOINT/store); content-hash keys dedup arms across jobs and restarts")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-drain window on SIGTERM/SIGINT before running jobs are checkpointed and aborted")
 	lease := fs.Duration("lease", 15*time.Second, "work-lease TTL for distributed workers; a worker that misses heartbeats this long has its arm reclaimed")
 	armAttempts := fs.Int("arm-attempts", 0, "distinct workers an arm may fail on before it is contained and executed locally; 0 keeps the default (3)")

@@ -12,10 +12,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"gossipmia/internal/spec"
+	"gossipmia/internal/store"
 )
 
 // remoteStyleExec re-executes the offered arm the way a worker does:
@@ -33,11 +35,25 @@ func remoteStyleExec(ctx context.Context, u ArmUnit) (Arm, bool, error) {
 }
 
 // dirBytes maps every file under dir to its contents, keyed by path
-// relative to dir.
+// relative to dir. The result store is mapped by record instead —
+// "store/<key>" to the record's value — since its log holds the
+// records in arm completion order, which varies between runs.
 func dirBytes(t *testing.T, dir string) map[string]string {
 	t.Helper()
 	out := map[string]string{}
 	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path == filepath.Join(dir, "store") {
+			withRunStore(t, dir, func(st *store.Store) {
+				err = st.Scan("", "", func(k string, v []byte) error {
+					out["store/"+k] = string(v)
+					return nil
+				})
+			})
+			if err != nil {
+				return err
+			}
+			return filepath.SkipDir
+		}
 		if err != nil || d.IsDir() {
 			return err
 		}
@@ -81,6 +97,15 @@ func TestRunSpecDirExecHookByteIdentical(t *testing.T) {
 		t.Fatal("exec-hooked figure diverged from plain run")
 	}
 	ref, hooked := dirBytes(t, refDir), dirBytes(t, hookedDir)
+	records := 0
+	for rel := range ref {
+		if strings.HasPrefix(rel, "store/"+storeArmPrefix) {
+			records++
+		}
+	}
+	if records != 3 {
+		t.Fatalf("plain run stored %d cache records, want 3", records)
+	}
 	if len(ref) != len(hooked) {
 		t.Fatalf("artifact sets differ: %d vs %d files", len(ref), len(hooked))
 	}

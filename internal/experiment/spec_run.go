@@ -53,19 +53,14 @@ func RunSpec(ctx context.Context, sp *spec.Spec, sc Scale) (*FigureResult, error
 	return runSpecHooked(ctx, sp, sc, specHooks{})
 }
 
-// RunSpecSinks runs a spec like RunSpec, additionally streaming every
-// arm's evaluated rounds into the sink returned by sinkFor — the
-// entry point the HTTP job service and the pkg/dlsim SDK attach their
-// observers to. sinkFor is called once per arm (from worker goroutines,
-// distinct arms per call) and may return a nil sink to skip an arm's
-// stream; each non-nil sink is closed after the arm's last record.
-func RunSpecSinks(ctx context.Context, sp *spec.Spec, sc Scale, sinkFor func(i int, label string) (sink.Sink, error)) (*FigureResult, error) {
-	return RunSpecExec(ctx, sp, sc, sinkFor, nil)
-}
-
-// RunSpecExec runs a spec like RunSpecSinks with an additional remote
-// executor consulted for every non-cached arm — the entry point the
-// job service's distributed dispatcher rides on. exec may be nil.
+// RunSpecExec runs a spec like RunSpec, additionally streaming every
+// arm's evaluated rounds into the sink returned by sinkFor and
+// offering every arm to a remote executor first — the entry point the
+// pkg/dlsim SDK and the job service's distributed dispatcher ride on.
+// sinkFor is called once per arm (from worker goroutines, distinct arms
+// per call) and may return a nil sink to skip an arm's stream; each
+// non-nil sink is closed after the arm's last record. Both sinkFor and
+// exec may be nil.
 func RunSpecExec(ctx context.Context, sp *spec.Spec, sc Scale, sinkFor func(i int, label string) (sink.Sink, error), exec ArmExecutor) (*FigureResult, error) {
 	h := specHooks{exec: exec}
 	if sinkFor != nil {
@@ -400,27 +395,24 @@ func churnOf(events []spec.Churn) []gossip.ChurnEvent {
 // SpecRunOptions configure RunSpecDir.
 type SpecRunOptions struct {
 	// OutDir receives the run artifacts: manifest.json, results.csv,
-	// per-arm result caches under arms/, and per-arm event streams
-	// under events/.
+	// per-arm event streams under events/, and — unless StoreDir points
+	// elsewhere — the result store holding the per-arm caches under
+	// store/.
 	OutDir string
 	// Resume skips arms whose cached result (keyed by arm content hash
-	// + scale fingerprint, including the seed) already exists in
-	// OutDir/arms — the re-run of an interrupted sweep only executes
+	// + scale fingerprint, including the seed) already exists in the
+	// result store — the re-run of an interrupted sweep only executes
 	// what is missing and still produces byte-identical output.
 	Resume bool
 	// Events selects the per-arm stream format: "jsonl" (default),
 	// "csv", or "none".
 	Events string
-	// StoreDir, when non-empty, keeps the per-arm result cache in an
-	// embedded indexed store (internal/store) at this directory instead
-	// of one JSON file per arm under OutDir/arms — the layout that stays
-	// fast at 10^5–10^7 arms: resume reads one log + segment set in a
-	// single ordered scan instead of opening a file per arm, and `dlsim
-	// list -store` serves figures from a range-scannable index. Cache
-	// semantics are unchanged: records carry the same canonical JSON and
-	// self-checksum as the file backend, so results are byte-identical
-	// either way. An existing OutDir/arms directory is read as a
-	// fallback and migrated into the store on resume.
+	// StoreDir is the embedded result store (internal/store) holding
+	// the per-arm caches; empty means OutDir/store. Resume reads one
+	// log + segment set in a single ordered scan, and `dlsim list
+	// -store` serves figures from its range-scannable index. Several
+	// runs may share one store: arms are keyed by content hash, so
+	// common arms dedup across runs.
 	StoreDir string
 	// ExtraSinks, when non-nil, attaches an additional per-arm sink
 	// alongside the run directory's event files (the hook the SDK's
@@ -429,8 +421,8 @@ type SpecRunOptions struct {
 	// — neither to event files nor to extra sinks.
 	ExtraSinks func(i int, label string) (sink.Sink, error)
 	// OnArmDone, when non-nil, observes every arm as it is satisfied
-	// (executed or loaded from cache), after its cache file is durably
-	// on disk. It is invoked from worker goroutines with distinct arms
+	// (executed or loaded from cache), after its cache record is in the
+	// store. It is invoked from worker goroutines with distinct arms
 	// per call, in completion order — not spec order.
 	OnArmDone func(i int, report SpecArmReport)
 	// Exec, when non-nil, is offered every non-cached arm before local
@@ -451,7 +443,6 @@ type SpecArmReport struct {
 	// cache instead of executed.
 	Cached         bool    `json:"cached"`
 	ElapsedSeconds float64 `json:"elapsedSeconds"`
-	ResultFile     string  `json:"resultFile"`
 	EventsFile     string  `json:"eventsFile,omitempty"`
 }
 
@@ -467,7 +458,8 @@ type SpecManifest struct {
 	Arms           []SpecArmReport `json:"arms"`
 }
 
-// armCacheFile is the on-disk cached result of one arm.
+// armCacheFile is the cached result of one arm, stored as indented
+// canonical JSON under storeArmKey.
 type armCacheFile struct {
 	Label           string                `json:"label"`
 	Key             string                `json:"key"`
@@ -478,9 +470,8 @@ type armCacheFile struct {
 	NoiseMultiplier float64               `json:"noiseMultiplier,omitempty"`
 	// Sum is the integrity checksum of the entry: the SHA-256 of the
 	// cache's canonical JSON with this field empty. A cache whose
-	// content does not reproduce its Sum — truncated, hand-edited, or
-	// torn by a filesystem that reordered the atomic rename — is
-	// ignored on resume and the arm recomputed.
+	// content does not reproduce its Sum — truncated or hand-edited —
+	// is ignored on resume and the arm recomputed.
 	Sum string `json:"sum"`
 }
 
@@ -541,7 +532,7 @@ func slugify(label string) string {
 }
 
 // writeFileAtomic writes data via a temp file + rename, so an
-// interrupted run never leaves a torn cache entry for resume to trust.
+// interrupted run never leaves a torn results.csv or manifest.
 func writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
@@ -552,10 +543,9 @@ func writeFileAtomic(path string, data []byte) error {
 
 // RunSpecDir runs a spec like RunSpec and additionally persists the run
 // to opts.OutDir: a manifest (spec hash, seed, workers, timings), a
-// per-arm result cache enabling -resume (one JSON file per arm, or one
-// embedded store when opts.StoreDir is set), per-arm streamed event
-// files, and a results.csv summary. The returned report says which arms
-// ran and which were loaded from cache.
+// per-arm result cache in the embedded result store enabling -resume,
+// per-arm streamed event files, and a results.csv summary. The returned
+// report says which arms ran and which were loaded from cache.
 //
 // results.csv streams: a row lands (in completion order) as each arm
 // commits, so an interrupted sweep leaves a usable partial CSV. On
@@ -564,12 +554,15 @@ func writeFileAtomic(path string, data []byte) error {
 // produces, for any worker count and any resume history.
 //
 // On cancellation the sweep checkpoints cleanly: completed arms keep
-// their durably-written cache entries (no manifest is written for the
+// their cache records in the store (no manifest is written for the
 // aborted run), so a later Resume re-executes only what is missing and
 // produces byte-identical output.
 func RunSpecDir(ctx context.Context, sp *spec.Spec, sc Scale, opts SpecRunOptions) (*FigureResult, *SpecManifest, error) {
 	if opts.OutDir == "" {
 		return nil, nil, fmt.Errorf("%w: RunSpecDir needs an output directory", ErrScale)
+	}
+	if opts.StoreDir == "" {
+		opts.StoreDir = filepath.Join(opts.OutDir, "store")
 	}
 	if opts.Events == "" {
 		opts.Events = "jsonl"
@@ -587,14 +580,8 @@ func RunSpecDir(ctx context.Context, sp *spec.Spec, sc Scale, opts SpecRunOption
 	if err != nil {
 		return nil, nil, err
 	}
-	fileCache := opts.StoreDir == ""
-	armsDir := filepath.Join(opts.OutDir, "arms")
 	eventsDir := filepath.Join(opts.OutDir, "events")
-	if fileCache {
-		if err := os.MkdirAll(armsDir, 0o755); err != nil {
-			return nil, nil, fmt.Errorf("experiment: out dir: %w", err)
-		}
-	} else if err := os.MkdirAll(opts.OutDir, 0o755); err != nil {
+	if err := os.MkdirAll(opts.OutDir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("experiment: out dir: %w", err)
 	}
 	if opts.Events != "none" {
@@ -605,51 +592,34 @@ func RunSpecDir(ctx context.Context, sp *spec.Spec, sc Scale, opts SpecRunOption
 
 	reports := make([]SpecArmReport, len(arms))
 	keys := make([]string, len(arms))
-	legacyFiles := make([]string, len(arms))
 	for i, a := range arms {
 		key, err := armKey(a, sc)
 		if err != nil {
 			return nil, nil, err
 		}
 		keys[i] = key
-		name := slugify(a.Label) + "-" + key[:8]
-		legacyFiles[i] = filepath.Join("arms", name+".json")
 		reports[i] = SpecArmReport{
 			Label: a.Label,
 			Key:   key,
 		}
-		if fileCache {
-			reports[i].ResultFile = legacyFiles[i]
-		}
 		if opts.Events != "none" {
-			reports[i].EventsFile = filepath.Join("events", name+"."+opts.Events)
+			reports[i].EventsFile = filepath.Join("events", slugify(a.Label)+"-"+key[:8]+"."+opts.Events)
 		}
 	}
 
-	var st *store.Store
-	if !fileCache {
-		s, release, err := store.OpenShared(opts.StoreDir, store.Options{})
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiment: result store: %w", err)
-		}
-		st = s
-		defer release()
+	st, release, err := store.OpenShared(opts.StoreDir, store.Options{})
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiment: result store: %w", err)
 	}
-	// Resume prescan, store mode: ONE ordered range scan collects every
-	// wanted cached record — zero per-arm file opens however many arms
-	// are cached. The legacy arms/ directory (if any) backfills misses
-	// below and its hits are migrated into the store.
+	defer release()
+	// Resume prescan: ONE ordered range scan collects every wanted
+	// cached record — zero per-arm file opens however many arms are
+	// cached.
 	var prescanned [][]byte
-	if opts.Resume && st != nil {
+	if opts.Resume {
 		prescanned, err = prescanStoreArms(st, keys)
 		if err != nil {
 			return nil, nil, err
-		}
-	}
-	legacyArms := false
-	if !fileCache {
-		if fi, err := os.Stat(armsDir); err == nil && fi.IsDir() {
-			legacyArms = true
 		}
 	}
 
@@ -664,29 +634,7 @@ func RunSpecDir(ctx context.Context, sp *spec.Spec, sc Scale, opts SpecRunOption
 		exec: opts.Exec,
 		done: func(i int, a spec.Arm, arm Arm, elapsed time.Duration) error {
 			reports[i].ElapsedSeconds = elapsed.Seconds()
-			cache := armCacheFile{
-				Label:           arm.Label,
-				Key:             keys[i],
-				Records:         arm.Series.Records,
-				MessagesSent:    arm.MessagesSent,
-				BytesSent:       arm.BytesSent,
-				RealizedEpsilon: arm.RealizedEpsilon,
-				NoiseMultiplier: arm.NoiseMultiplier,
-			}
-			sum, err := cache.checksum()
-			if err != nil {
-				return err
-			}
-			cache.Sum = sum
-			raw, err := json.MarshalIndent(cache, "", " ")
-			if err != nil {
-				return err
-			}
-			if fileCache {
-				if err := writeFileAtomic(filepath.Join(opts.OutDir, reports[i].ResultFile), raw); err != nil {
-					return err
-				}
-			} else if err := putStoreArm(st, sp.Name, keys[i], arm, raw); err != nil {
+			if err := putStoreArm(st, sp.Name, keys[i], arm); err != nil {
 				return err
 			}
 			if err := csv.row(arm); err != nil {
@@ -730,44 +678,24 @@ func RunSpecDir(ctx context.Context, sp *spec.Spec, sc Scale, opts SpecRunOption
 	}
 	if opts.Resume {
 		h.lookup = func(i int, a spec.Arm) (Arm, bool) {
-			var arm Arm
-			var ok bool
-			if fileCache {
-				arm, ok = loadArmCache(filepath.Join(opts.OutDir, reports[i].ResultFile), keys[i], a.Label)
-			} else {
-				arm, ok = decodeArmCache(prescanned[i], keys[i], a.Label)
-				prescanned[i] = nil // decoded or rejected; free the raw bytes
-				if ok {
-					// A crash may have made the record durable but torn
-					// the listing-index row behind it; repair in passing.
-					if err := ensureStoreIndex(st, sp.Name, keys[i], arm); err != nil {
-						ok = false
-					}
-				}
-				if !ok && legacyArms {
-					// Pre-store run directory: serve the hit from the old
-					// per-arm file and migrate it into the store, so the
-					// next resume needs no fallback.
-					raw, err := os.ReadFile(filepath.Join(opts.OutDir, legacyFiles[i]))
-					if err == nil {
-						if arm, ok = decodeArmCache(raw, keys[i], a.Label); ok {
-							if err := putStoreArm(st, sp.Name, keys[i], arm, raw); err != nil {
-								ok = false // migration failed: recompute rather than half-trust
-							}
-						}
-					}
-				}
+			arm, ok := decodeArmCache(prescanned[i], keys[i], a.Label)
+			prescanned[i] = nil // decoded or rejected; free the raw bytes
+			if !ok {
+				return Arm{}, false
 			}
-			if ok {
-				reports[i].Cached = true
-				if err := csv.row(arm); err != nil {
-					return Arm{}, false // stream broken: recompute path surfaces the error
-				}
-				if opts.OnArmDone != nil {
-					opts.OnArmDone(i, reports[i])
-				}
+			// A crash may have made the record durable but torn the
+			// listing-index row behind it; repair in passing.
+			if err := ensureStoreIndex(st, sp.Name, keys[i], arm); err != nil {
+				return Arm{}, false
 			}
-			return arm, ok
+			reports[i].Cached = true
+			if err := csv.row(arm); err != nil {
+				return Arm{}, false // stream broken: recompute path surfaces the error
+			}
+			if opts.OnArmDone != nil {
+				opts.OnArmDone(i, reports[i])
+			}
+			return arm, true
 		}
 	}
 
@@ -802,20 +730,6 @@ func RunSpecDir(ctx context.Context, sp *spec.Spec, sc Scale, opts SpecRunOption
 		return nil, nil, fmt.Errorf("experiment: manifest: %w", err)
 	}
 	return fig, man, nil
-}
-
-// loadArmCache loads one arm's cached result if present and
-// trustworthy: the file must decode, its integrity checksum must
-// reproduce, and the key (content hash) and label must both match — so
-// a truncated or corrupted file, or a cache written by a different
-// spec, scale, or seed, is ignored (and the arm recomputed) rather
-// than resumed from.
-func loadArmCache(path, key, label string) (Arm, bool) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return Arm{}, false
-	}
-	return decodeArmCache(raw, key, label)
 }
 
 // resultsCSVHeader is the results.csv column row.

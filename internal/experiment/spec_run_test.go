@@ -12,6 +12,7 @@ import (
 	"gossipmia/internal/gossip"
 	"gossipmia/internal/metrics"
 	"gossipmia/internal/spec"
+	"gossipmia/internal/store"
 )
 
 // sweepSpec is a small three-arm spec used across the engine tests: a
@@ -81,8 +82,23 @@ func TestRunSpecDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// withRunStore opens the result store of a finished run directory,
+// hands it to fn, and closes it again.
+func withRunStore(t *testing.T, dir string, fn func(st *store.Store)) {
+	t.Helper()
+	st, err := store.Open(filepath.Join(dir, "store"), store.Options{NoBackground: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn(st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRunSpecDirWritesArtifacts checks the full run-directory contract:
-// manifest, per-arm caches, per-arm event streams, and results.csv.
+// manifest, per-arm caches in the result store, per-arm event streams,
+// and results.csv.
 func TestRunSpecDirWritesArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -121,11 +137,15 @@ func TestRunSpecDirWritesArtifacts(t *testing.T) {
 		if ar.ElapsedSeconds <= 0 {
 			t.Fatalf("arm %q has no timing", ar.Label)
 		}
-		// The cache round-trips to the in-memory arm.
-		craw, err := os.ReadFile(filepath.Join(dir, ar.ResultFile))
-		if err != nil {
-			t.Fatal(err)
-		}
+		// The cache record round-trips to the in-memory arm.
+		var craw []byte
+		withRunStore(t, dir, func(st *store.Store) {
+			raw, ok, err := st.Get(storeArmKey(ar.Key))
+			if err != nil || !ok {
+				t.Fatalf("arm %q has no cache record (ok=%v, err=%v)", ar.Label, ok, err)
+			}
+			craw = raw
+		})
 		var cache armCacheFile
 		if err := json.Unmarshal(craw, &cache); err != nil {
 			t.Fatal(err)
@@ -357,9 +377,9 @@ func TestDynamicsKindResolution(t *testing.T) {
 
 // TestRunSpecDirCancellationCheckpoints is the cancellation contract:
 // a mid-sweep cancel surfaces ctx.Err() within one arm boundary, the
-// out directory holds only atomic (complete) cache files for the arms
-// that finished, and a subsequent resume produces output byte-identical
-// to an uninterrupted run.
+// result store holds exactly one valid cache record — the arm that
+// finished — and a subsequent resume produces output byte-identical to
+// an uninterrupted run.
 func TestRunSpecDirCancellationCheckpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -390,19 +410,31 @@ func TestRunSpecDirCancellationCheckpoints(t *testing.T) {
 		t.Fatalf("cancelled run error = %v, want context.Canceled", err)
 	}
 
-	// Only complete, atomically-written caches may remain.
-	entries, err := os.ReadDir(filepath.Join(dir, "arms"))
+	// Exactly the completed arm's record remains, and it is whole.
+	arms, err := sweepSpec().ExpandArms()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 {
-		t.Fatalf("cancelled run left %d cache files, want exactly the completed arm", len(entries))
+	key0, err := armKey(arms[0], sc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			t.Fatalf("cancelled run left a torn temp file %q", e.Name())
+	withRunStore(t, dir, func(st *store.Store) {
+		var keys []string
+		err := st.Scan(storeArmPrefix, store.PrefixEnd(storeArmPrefix), func(k string, v []byte) error {
+			keys = append(keys, k)
+			if _, ok := decodeArmCache(v, key0, arms[0].Label); !ok {
+				t.Errorf("cache record %q is not the completed arm's valid record", k)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if len(keys) != 1 {
+			t.Fatalf("cancelled run left %d cache records, want exactly the completed arm", len(keys))
+		}
+	})
 	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); !os.IsNotExist(err) {
 		t.Fatalf("cancelled run wrote a manifest (err=%v); an aborted sweep must not look complete", err)
 	}
@@ -444,10 +476,10 @@ func TestRunSpecCancelledBeforeStart(t *testing.T) {
 }
 
 // TestResumeIgnoresCorruptCache is the resume-robustness contract: a
-// truncated or content-tampered per-arm cache file is detected (decode
-// error / integrity-sum mismatch), ignored, and recomputed — the sweep
-// completes with byte-identical results instead of aborting or
-// trusting bad data.
+// truncated or content-tampered per-arm cache record is detected
+// (decode error / integrity-sum mismatch), ignored, and recomputed —
+// the sweep completes with byte-identical results instead of aborting
+// or trusting bad data.
 func TestResumeIgnoresCorruptCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -467,38 +499,42 @@ func TestResumeIgnoresCorruptCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Arm 0: truncated mid-JSON (a crash during a non-atomic copy).
-	f0 := filepath.Join(dir, man.Arms[0].ResultFile)
-	raw, err := os.ReadFile(f0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(f0, raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	withRunStore(t, dir, func(st *store.Store) {
+		get := func(key string) []byte {
+			t.Helper()
+			raw, ok, err := st.Get(storeArmKey(key))
+			if err != nil || !ok {
+				t.Fatalf("no cache record for %s (ok=%v, err=%v)", key, ok, err)
+			}
+			return raw
+		}
+		// Arm 0: truncated mid-JSON (a copy cut short by a crash).
+		raw := get(man.Arms[0].Key)
+		if err := st.Put(storeArmKey(man.Arms[0].Key), raw[:len(raw)/2]); err != nil {
+			t.Fatal(err)
+		}
 
-	// Arm 1: decodes fine and keeps its key, but a record was altered —
-	// only the integrity sum can catch this.
-	f1 := filepath.Join(dir, man.Arms[1].ResultFile)
-	raw, err = os.ReadFile(f1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tampered armCacheFile
-	if err := json.Unmarshal(raw, &tampered); err != nil {
-		t.Fatal(err)
-	}
-	if len(tampered.Records) == 0 {
-		t.Fatal("cache has no records to tamper with")
-	}
-	tampered.Records[0].TestAcc += 0.25
-	edited, err := json.MarshalIndent(tampered, "", " ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(f1, edited, 0o644); err != nil {
-		t.Fatal(err)
-	}
+		// Arm 1: decodes fine and keeps its key, but a record was
+		// altered — only the integrity sum can catch this.
+		var tampered armCacheFile
+		if err := json.Unmarshal(get(man.Arms[1].Key), &tampered); err != nil {
+			t.Fatal(err)
+		}
+		if len(tampered.Records) == 0 {
+			t.Fatal("cache has no records to tamper with")
+		}
+		if tampered.Key != man.Arms[1].Key {
+			t.Fatalf("cache record key %q, want %q", tampered.Key, man.Arms[1].Key)
+		}
+		tampered.Records[0].TestAcc += 0.25
+		edited, err := json.MarshalIndent(tampered, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(storeArmKey(man.Arms[1].Key), edited); err != nil {
+			t.Fatal(err)
+		}
+	})
 
 	resumed, man2, err := RunSpecDir(t.Context(), full, sc, SpecRunOptions{OutDir: dir, Resume: true})
 	if err != nil {

@@ -8,14 +8,11 @@ import (
 	"gossipmia/internal/store"
 )
 
-// Store-backed arm caching. With SpecRunOptions.StoreDir set, per-arm
-// results land in one embedded store (internal/store) instead of one
-// JSON file each under arms/ — the difference between a resume that
-// opens 10^5 files and one that streams a single log + segment set.
-// The record bytes are exactly the bytes the file cache would hold
-// (canonical JSON with the self-checksum Sum), so the integrity
-// semantics — decode, reproduce Sum, match key and label — carry over
-// unchanged and results stay byte-identical between the two backends.
+// Store-backed arm caching. Per-arm results land in one embedded
+// store (internal/store) — a resume streams a single log + segment set
+// instead of opening a file per arm. Each record is the arm's
+// canonical JSON with a self-checksum (Sum), and decodeArmCache trusts
+// it only if it decodes, reproduces Sum, and matches key and label.
 //
 // Key space:
 //
@@ -75,9 +72,12 @@ func storeArmSummary(specName, key string, arm Arm) StoreArmSummary {
 }
 
 // putStoreArm commits one arm to the store: the full cache record plus
-// its listing-index row. raw is the canonical armCacheFile JSON — the
-// exact bytes the file backend would write.
-func putStoreArm(st *store.Store, specName, key string, arm Arm, raw []byte) error {
+// its listing-index row.
+func putStoreArm(st *store.Store, specName, key string, arm Arm) error {
+	raw, err := encodeArmCache(key, arm)
+	if err != nil {
+		return err
+	}
 	if err := st.Put(storeArmKey(key), raw); err != nil {
 		return err
 	}
@@ -106,10 +106,32 @@ func ensureStoreIndex(st *store.Store, specName, key string, arm Arm) error {
 	return st.Put(ik, idx)
 }
 
+// encodeArmCache renders the cache record of an executed arm: its
+// canonical JSON with the integrity Sum filled in, indented.
+func encodeArmCache(key string, arm Arm) ([]byte, error) {
+	cache := armCacheFile{
+		Label:           arm.Label,
+		Key:             key,
+		Records:         arm.Series.Records,
+		MessagesSent:    arm.MessagesSent,
+		BytesSent:       arm.BytesSent,
+		RealizedEpsilon: arm.RealizedEpsilon,
+		NoiseMultiplier: arm.NoiseMultiplier,
+	}
+	sum, err := cache.checksum()
+	if err != nil {
+		return nil, err
+	}
+	cache.Sum = sum
+	return json.MarshalIndent(cache, "", " ")
+}
+
 // decodeArmCache validates and decodes one cached arm record from its
-// raw bytes — the shared trust path of both cache backends: the JSON
-// must decode, its integrity checksum must reproduce, and the key and
-// label must match (see loadArmCache).
+// raw bytes — the only path by which a cached result is trusted: the
+// JSON must decode, its integrity checksum must reproduce, and the key
+// and label must match, so a truncated or tampered record, or one
+// written under a different spec, scale, or seed, is ignored (and the
+// arm recomputed) rather than resumed from.
 func decodeArmCache(raw []byte, key, label string) (Arm, bool) {
 	if len(raw) == 0 {
 		return Arm{}, false

@@ -15,57 +15,44 @@ import (
 	"gossipmia/internal/store"
 )
 
-// storeOpts returns store-backed run options rooted in out.
+// storeOpts returns run options rooted in out with event streams off;
+// the result store defaults to out/store.
 func storeOpts(out string) SpecRunOptions {
-	return SpecRunOptions{
-		OutDir:   out,
-		StoreDir: filepath.Join(out, "store"),
-		Events:   "none",
-	}
+	return SpecRunOptions{OutDir: out, Events: "none"}
 }
 
-// TestStoreBackendMatchesFileBackend is the migration contract: the
-// same sweep through the store backend produces a byte-identical
-// results.csv and identical figure to the per-file backend — and no
-// arms/ directory at all.
-func TestStoreBackendMatchesFileBackend(t *testing.T) {
+// TestStoreRunMatchesUncachedRunSpec: a sweep through the run
+// directory and its result store produces the identical figure and a
+// results.csv byte-identical to a plain RunSpec that touches no
+// directory and no cache — and no arms/ directory at all.
+func TestStoreRunMatchesUncachedRunSpec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
 	sc := TinyScale()
 
-	fileDir := t.TempDir()
-	fileFig, _, err := RunSpecDir(t.Context(), sweepSpec(), sc, SpecRunOptions{OutDir: fileDir, Events: "none"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fileCSV, err := os.ReadFile(filepath.Join(fileDir, "results.csv"))
+	refFig, err := RunSpec(t.Context(), sweepSpec(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	storeDir := t.TempDir()
-	storeFig, man, err := RunSpecDir(t.Context(), sweepSpec(), sc, storeOpts(storeDir))
+	storeFig, _, err := RunSpecDir(t.Context(), sweepSpec(), sc, storeOpts(storeDir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if figureDump(fileFig) != figureDump(storeFig) {
-		t.Fatal("store-backed figure diverged from file-backed run")
+	if figureDump(refFig) != figureDump(storeFig) {
+		t.Fatal("store-backed figure diverged from the uncached run")
 	}
 	storeCSV, err := os.ReadFile(filepath.Join(storeDir, "results.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(storeCSV) != string(fileCSV) {
-		t.Fatal("store-backed results.csv diverged from file-backed run")
+	if string(storeCSV) != resultsCSV(refFig) {
+		t.Fatal("store-backed results.csv diverged from the uncached run")
 	}
 	if _, err := os.Stat(filepath.Join(storeDir, "arms")); !os.IsNotExist(err) {
 		t.Fatalf("store-backed run created an arms/ directory (err=%v)", err)
-	}
-	for _, ar := range man.Arms {
-		if ar.ResultFile != "" {
-			t.Fatalf("store-backed manifest points at a result file %q", ar.ResultFile)
-		}
 	}
 	// The store holds one record and one index row per arm.
 	page, total, err := ListStoreArms(filepath.Join(storeDir, "store"), "", 0, 0)
@@ -77,9 +64,9 @@ func TestStoreBackendMatchesFileBackend(t *testing.T) {
 	}
 }
 
-// TestStoreResumeSkipsCompletedArms mirrors the file-backend
-// acceptance test: a prefix-complete store-backed sweep resumed over
-// the full spec runs only the missing arm and lands byte-identical.
+// TestStoreResumeSkipsCompletedArms: a prefix-complete sweep resumed
+// over the full spec with event streams off runs only the missing arm
+// and lands byte-identical.
 func TestStoreResumeSkipsCompletedArms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -243,70 +230,23 @@ func TestStoreResumeSurvivesTornLog(t *testing.T) {
 	}
 }
 
-// TestLegacyCacheMigratesIntoStore: pointing a store at a pre-store
-// run directory serves resume hits from the old per-arm files and
-// migrates them, so the next resume never touches arms/ again.
-func TestLegacyCacheMigratesIntoStore(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
-	}
-	sc := TinyScale()
-	dir := t.TempDir()
-	// A file-backed run leaves arms/*.json.
-	refFig, _, err := RunSpecDir(t.Context(), sweepSpec(), sc, SpecRunOptions{OutDir: dir, Events: "none"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opts := storeOpts(dir)
-	opts.Resume = true
-	migrated, man, err := RunSpecDir(t.Context(), sweepSpec(), sc, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ar := range man.Arms {
-		if !ar.Cached {
-			t.Fatalf("legacy cache miss for %q", ar.Label)
-		}
-	}
-	if figureDump(migrated) != figureDump(refFig) {
-		t.Fatal("legacy-migrated resume diverged")
-	}
-
-	// Remove the legacy files: the store alone now serves everything.
-	if err := os.RemoveAll(filepath.Join(dir, "arms")); err != nil {
-		t.Fatal(err)
-	}
-	again, man2, err := RunSpecDir(t.Context(), sweepSpec(), sc, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ar := range man2.Arms {
-		if !ar.Cached {
-			t.Fatalf("store miss after migration for %q", ar.Label)
-		}
-	}
-	if figureDump(again) != figureDump(refFig) {
-		t.Fatal("post-migration resume diverged")
-	}
-}
-
-// TestPartialCSVOnCancel is the streaming-results contract, both
-// backends: a cancelled sweep leaves a parseable results.csv holding
-// the header plus one row per completed arm, and resume regenerates
-// the canonical full file.
+// TestPartialCSVOnCancel is the streaming-results contract, for the
+// default store under the run directory and for a store kept outside
+// it: a cancelled sweep leaves a parseable results.csv holding the
+// header plus one row per completed arm, and resume regenerates the
+// canonical full file.
 func TestPartialCSVOnCancel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	for _, backend := range []string{"files", "store"} {
-		t.Run(backend, func(t *testing.T) {
+	for _, where := range []string{"default", "store"} {
+		t.Run(where, func(t *testing.T) {
 			sc := TinyScale()
 			sc.Workers = 1 // deterministic: cancel lands between arm 0 and 1
 			dir := t.TempDir()
 			opts := SpecRunOptions{OutDir: dir, Events: "none"}
-			if backend == "store" {
-				opts.StoreDir = filepath.Join(dir, "store")
+			if where == "store" {
+				opts.StoreDir = t.TempDir()
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -513,5 +453,82 @@ func BenchmarkResumeScan(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/arm")
+	})
+}
+
+// FuzzDecodeArmCache throws arbitrary bytes, keys, and labels at the
+// cache-record decoder — the one path by which resume trusts stored
+// results. It must never panic, and every record it accepts must carry
+// the wanted key and label and re-encode to its own integrity Sum, so
+// an accepted record is exactly what a run would have written.
+func FuzzDecodeArmCache(f *testing.F) {
+	key := fmt.Sprintf("%064x", 0xc0ffee)
+	label := "cifar10 lat=15"
+	arm := Arm{
+		Label: label,
+		Series: &metrics.Series{Label: label, Records: []metrics.RoundRecord{
+			{Round: 1, TestAcc: 0.41, MIAAcc: 0.55, TPRAt1FPR: 0.02, GenError: 0.2},
+			{Round: 3, TestAcc: 0.61, MIAAcc: 0.52, TPRAt1FPR: 0.08, GenError: 0.1},
+		}},
+		MessagesSent: 1200, BytesSent: 76800, RealizedEpsilon: 3.5, NoiseMultiplier: 1.1,
+	}
+	good, err := encodeArmCache(key, arm)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var cache armCacheFile
+	if err := json.Unmarshal(good, &cache); err != nil {
+		f.Fatal(err)
+	}
+	compact, err := json.Marshal(cache)
+	if err != nil {
+		f.Fatal(err)
+	}
+	cache.Records[0].TestAcc += 0.25 // keeps its key and Sum; content no longer matches
+	tampered, err := json.MarshalIndent(cache, "", " ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, raw := range [][]byte{good, compact} {
+		if _, ok := decodeArmCache(raw, key, label); !ok {
+			f.Fatalf("intact record rejected:\n%s", raw)
+		}
+	}
+	for _, raw := range [][]byte{good[:len(good)/2], tampered} {
+		if _, ok := decodeArmCache(raw, key, label); ok {
+			f.Fatalf("damaged record accepted:\n%s", raw)
+		}
+	}
+	for _, raw := range [][]byte{good, compact, good[:len(good)/2], tampered, {}, []byte("null")} {
+		f.Add(raw, key, label)
+	}
+	f.Add(good, key, "other label")
+
+	f.Fuzz(func(t *testing.T, raw []byte, key, label string) {
+		got, ok := decodeArmCache(raw, key, label)
+		if !ok {
+			return
+		}
+		if got.Label != label || got.Series == nil || got.Series.Label != label {
+			t.Fatalf("accepted record for %q decodes to label %q", label, got.Label)
+		}
+		var in armCacheFile
+		if err := json.Unmarshal(raw, &in); err != nil {
+			t.Fatalf("accepted record does not decode: %v", err)
+		}
+		if in.Key != key {
+			t.Fatalf("accepted record has key %q, want %q", in.Key, key)
+		}
+		again, err := encodeArmCache(key, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out armCacheFile
+		if err := json.Unmarshal(again, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Sum != in.Sum {
+			t.Fatalf("accepted record re-encodes to Sum %s, want its own %s", out.Sum, in.Sum)
+		}
 	})
 }

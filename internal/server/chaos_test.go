@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"gossipmia/internal/experiment"
 	"gossipmia/internal/faultinject"
 	"gossipmia/pkg/dlsim"
 )
@@ -251,16 +252,15 @@ func TestDrainDeadlineCheckpointRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the first arm's cache file: from here the second arm is
-	// mid-flight for ~250ms — the window the drain deadline lands in.
-	var caches []string
+	// Wait for the first arm to land in the checkpoint store: from here
+	// the second arm is mid-flight for ~250ms — the window the drain
+	// deadline lands in.
 	for deadline := time.Now().Add(20 * time.Second); ; {
-		caches, _ = filepath.Glob(filepath.Join(dir, "*", "arms", "*.json"))
-		if len(caches) >= 1 {
+		if _, n, err := experiment.ListStoreArms(filepath.Join(dir, "store"), "", 0, 0); err == nil && n >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no arm cache file appeared")
+			t.Fatal("no arm reached the checkpoint store")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -56,6 +56,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -192,11 +193,10 @@ type Config struct {
 	// resume from the per-arm caches instead of recomputing, and a
 	// drained-with-deadline job leaves its completed arms behind.
 	CheckpointDir string
-	// StoreDir, when set together with CheckpointDir, keeps every
-	// job's per-arm result records in one embedded result store
-	// (internal/store) at this path instead of one JSON file per arm
-	// under each job directory. Arms are keyed by content hash, so
-	// jobs that share arms — a resubmission after restart, or two
+	// StoreDir is the embedded result store (internal/store) holding
+	// every job's per-arm result records; with CheckpointDir set it
+	// defaults to CheckpointDir/store. Arms are keyed by content hash,
+	// so jobs that share arms — a resubmission after restart, or two
 	// sweeps overlapping on a common baseline — share cached results
 	// across job boundaries. The server holds the store open for its
 	// lifetime; concurrent jobs write through the one shared handle.
@@ -233,6 +233,9 @@ func (c Config) withDefaults() Config {
 		c.RateBurst = 10
 	}
 	c.Retry = c.Retry.withDefaults()
+	if c.StoreDir == "" && c.CheckpointDir != "" {
+		c.StoreDir = filepath.Join(c.CheckpointDir, "store")
+	}
 	if c.Log == nil {
 		c.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}

@@ -532,10 +532,10 @@ func TestListPagination(t *testing.T) {
 	}
 }
 
-// TestStoreBackedCheckpointSurvivesRestart: with StoreDir configured,
-// job checkpoints land in the shared result store (no per-arm files),
-// and a service restarted over the same store serves a resubmission
-// entirely from cache — zero re-streamed rounds.
+// TestStoreBackedCheckpointSurvivesRestart: with StoreDir moved out of
+// the checkpoint directory, job checkpoints land in that shared result
+// store (no per-arm files), and a service restarted over the same store
+// serves a resubmission entirely from cache — zero re-streamed rounds.
 func TestStoreBackedCheckpointSurvivesRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")

@@ -202,22 +202,21 @@ func (r *Runner) Run(ctx context.Context, sp *Spec) (*Result, error) {
 // DirOptions configure RunDir.
 type DirOptions struct {
 	// OutDir receives the run artifacts: manifest.json, results.csv,
-	// per-arm result caches under arms/, per-arm event streams under
-	// events/.
+	// per-arm event streams under events/, and — unless StoreDir
+	// points elsewhere — the result store holding the per-arm caches
+	// under store/.
 	OutDir string
 	// Resume skips arms whose cached result (keyed by content hash and
-	// scale fingerprint including the seed) already exists in OutDir.
+	// scale fingerprint including the seed) already exists in the
+	// result store.
 	Resume bool
 	// Events selects the per-arm stream format: "jsonl" (default),
 	// "csv", or "none".
 	Events string
-	// StoreDir, when set, keeps per-arm result caches in one embedded
-	// indexed result store at this path instead of one JSON file per
-	// arm under OutDir/arms — the backend for sweeps whose arm count
-	// makes per-file caching a bottleneck. Resume scans the store once
-	// instead of opening a file per arm, results stay byte-identical
-	// to the file backend, and several runs may share one store (arms
-	// are keyed by content hash, so common arms dedup across runs).
+	// StoreDir is the embedded result store holding the per-arm
+	// caches; empty means OutDir/store. Resume scans the store once,
+	// and several runs may share one store (arms are keyed by content
+	// hash, so common arms dedup across runs).
 	StoreDir string
 }
 
@@ -232,8 +231,7 @@ type ArmReport struct {
 	// cache instead of executed.
 	Cached         bool    `json:"cached"`
 	ElapsedSeconds float64 `json:"elapsedSeconds"`
-	// ResultFile/EventsFile are OutDir-relative artifact paths.
-	ResultFile string `json:"resultFile"`
+	// EventsFile is the OutDir-relative event stream path.
 	EventsFile string `json:"eventsFile,omitempty"`
 }
 
@@ -249,9 +247,9 @@ type RunReport struct {
 // RunDir executes a scenario spec like Run — including streaming into
 // a WithSink observer, except for arms served from the resume cache,
 // which do not re-stream — and additionally persists the run to
-// opts.OutDir (manifest, per-arm resume caches, per-arm event streams,
-// results.csv). On cancellation, completed arms keep their
-// atomically-written caches, so re-invoking with Resume executes only
+// opts.OutDir (manifest, per-arm resume caches in the result store,
+// per-arm event streams, results.csv). On cancellation, completed arms
+// keep their cache records, so re-invoking with Resume executes only
 // what is missing and produces byte-identical output.
 func (r *Runner) RunDir(ctx context.Context, sp *Spec, opts DirOptions) (*Result, *RunReport, error) {
 	compiled, err := sp.compile()
@@ -278,8 +276,7 @@ func (r *Runner) RunDir(ctx context.Context, sp *Spec, opts DirOptions) (*Result
 	for _, a := range man.Arms {
 		report.Arms = append(report.Arms, ArmReport{
 			Label: a.Label, Key: a.Key, Cached: a.Cached,
-			ElapsedSeconds: a.ElapsedSeconds,
-			ResultFile:     a.ResultFile, EventsFile: a.EventsFile,
+			ElapsedSeconds: a.ElapsedSeconds, EventsFile: a.EventsFile,
 		})
 	}
 	return resultOf(fig), report, nil

@@ -27,7 +27,7 @@ else
     echo "staticcheck not installed; skipping"
 fi
 go test -race ./...
-go test -run='^Fuzz' ./internal/wire ./pkg/dlsim
+go test -run='^Fuzz' ./internal/wire ./pkg/dlsim ./internal/experiment
 
 # pkg/dlsim API gate: the public SDK must not leak internal types into
 # its exported signatures (the stability promise of the package). The
@@ -43,7 +43,8 @@ fi
 echo "pkg/dlsim api gate ok"
 
 # Spec-engine smoke: run one example spec end-to-end at tiny scale,
-# exercising the manifest, per-arm caches, event streams, and resume.
+# exercising the manifest, the store-backed per-arm caches, event
+# streams, and resume.
 specout=$(mktemp -d)
 cleanup() {
     [ -n "${serve_pid:-}" ] && kill "$serve_pid" 2>/dev/null || true
@@ -54,6 +55,11 @@ go run ./cmd/dlsim sweep -spec examples/specs/latency_churn_dp.json -scale tiny 
 test -f "$specout/run/manifest.json"
 test -f "$specout/run/results.csv"
 go run ./cmd/dlsim sweep -spec examples/specs/latency_churn_dp.json -scale tiny -out "$specout/run" -resume
+test -d "$specout/run/store"
+if [ -d "$specout/run/arms" ]; then
+    echo "spec sweep created a per-arm file directory" >&2
+    exit 1
+fi
 # The legacy flat invocation must keep working.
 go run ./cmd/dlsim -spec examples/specs/latency_churn_dp.json -scale tiny >/dev/null
 echo "spec smoke ok"
@@ -149,6 +155,11 @@ cmp -s "$chaos_csv" "$specout/run/results.csv" || {
     diff "$chaos_csv" "$specout/run/results.csv" >&2 || true
     exit 1
 }
+test -d "$ckpt/store" || { echo "chaos checkpoint has no shared result store" >&2; exit 1; }
+if [ -n "$(find "$ckpt" -type d -name arms)" ]; then
+    echo "chaos checkpoint created a per-arm file directory" >&2
+    exit 1
+fi
 kill "$serve_pid"
 wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
@@ -157,10 +168,11 @@ echo "chaos smoke ok"
 # Store smoke: a multi-thousand-arm tiny sweep against the embedded
 # result store, killed hard mid-run (SIGKILL — no drain, no handlers),
 # reopened, resumed to completion, and compared byte-for-byte against
-# the file backend's results.csv for the same spec. This proves the
-# store's three claims end-to-end: crash consistency (a torn log
+# an uninterrupted sweep's results.csv for the same spec. This proves
+# the store's three claims end-to-end: crash consistency (a torn log
 # recovers to the last durable arm), resume serves durable arms from
-# cache without per-arm files, and the two backends are byte-identical.
+# cache without per-arm files, and a killed+resumed sweep is
+# byte-identical to an uninterrupted one.
 storespec="$specout/store-sweep.json"
 awk 'BEGIN {
     printf "{\"name\":\"store smoke\",\"sweep\":{\"base\":{\"label\":\"b\",\"corpus\":\"cifar10\",\"protocol\":\"samo\",\"viewSize\":2},\"axes\":[{\"field\":\"beta\",\"values\":["
@@ -168,9 +180,9 @@ awk 'BEGIN {
     printf "]}]}}\n"
 }' > "$storespec"
 go build -o "$specout/dlsim-store" ./cmd/dlsim
-"$specout/dlsim-store" sweep -spec "$storespec" -scale tiny -out "$specout/store-file" -events none >/dev/null
+"$specout/dlsim-store" sweep -spec "$storespec" -scale tiny -out "$specout/store-ref" -events none >/dev/null
 
-"$specout/dlsim-store" sweep -spec "$storespec" -scale tiny -out "$specout/store-run" -store -events none >"$specout/store-kill.log" 2>&1 &
+"$specout/dlsim-store" sweep -spec "$storespec" -scale tiny -out "$specout/store-run" -events none >"$specout/store-kill.log" 2>&1 &
 sweep_pid=$!
 rows=0
 i=0
@@ -191,15 +203,15 @@ if [ -d "$specout/store-run/arms" ]; then
     echo "store sweep created a per-arm file directory" >&2
     exit 1
 fi
-"$specout/dlsim-store" sweep -spec "$storespec" -scale tiny -out "$specout/store-run" -store -events none -resume >"$specout/store-resume.log"
+"$specout/dlsim-store" sweep -spec "$storespec" -scale tiny -out "$specout/store-run" -events none -resume >"$specout/store-resume.log"
 grep -Eq '\([1-9][0-9]* from cache\)' "$specout/store-resume.log" || {
     echo "store resume served nothing from cache:" >&2
     cat "$specout/store-resume.log" >&2
     exit 1
 }
-cmp -s "$specout/store-run/results.csv" "$specout/store-file/results.csv" || {
-    echo "store-backed results.csv diverges from the file backend:" >&2
-    diff "$specout/store-run/results.csv" "$specout/store-file/results.csv" | head >&2
+cmp -s "$specout/store-run/results.csv" "$specout/store-ref/results.csv" || {
+    echo "killed+resumed results.csv diverges from the uninterrupted sweep:" >&2
+    diff "$specout/store-run/results.csv" "$specout/store-ref/results.csv" | head >&2
     exit 1
 }
 "$specout/dlsim-store" list -store "$specout/store-run/store" -limit 5 | head -n 1 | grep -q '^2000 cached arms' || {
@@ -208,8 +220,8 @@ cmp -s "$specout/store-run/results.csv" "$specout/store-file/results.csv" || {
 }
 echo "store smoke ok"
 
-# Distributed smoke, race-enabled: serve with a checkpoint + shared
-# result store and a short lease window, attach a two-worker pull
+# Distributed smoke, race-enabled: serve with a checkpoint (and so its
+# shared result store, CHECKPOINT/store) and a short lease window, attach a two-worker pull
 # fleet, submit a sweep, and SIGKILL one worker mid-run — the lease
 # expires, the arm is reclaimed, and the job must still complete with
 # a results.csv byte-identical to the single-process sweep. Then
@@ -217,10 +229,10 @@ echo "store smoke ok"
 # every arm must be served from the cluster-shared store with zero
 # re-execution (no events streamed, all-hits cache counters).
 distspec=examples/specs/protocol_latency_grid.json
-"$specout/dlsim-store" sweep -spec "$distspec" -scale tiny -out "$specout/dist-file" -events none >/dev/null
+"$specout/dlsim-store" sweep -spec "$distspec" -scale tiny -out "$specout/dist-ref" -events none >/dev/null
 dckpt="$specout/dist-ckpt"
 "$specout/dlsim" serve -addr 127.0.0.1:0 -scale tiny \
-    -checkpoint "$dckpt" -store "$dckpt/store" -lease 2s >"$specout/dist.log" 2>&1 &
+    -checkpoint "$dckpt" -lease 2s >"$specout/dist.log" 2>&1 &
 serve_pid=$!
 base=""
 i=0
@@ -250,9 +262,9 @@ kill -9 "$w2_pid" 2>/dev/null || true
 wait "$run_pid" || { echo "distributed run failed after worker kill" >&2; cat "$specout/dist-run.log" >&2; exit 1; }
 dist_csv=$(find "$dckpt" -name results.csv | head -n 1)
 [ -n "$dist_csv" ] || { echo "distributed run left no results.csv" >&2; exit 1; }
-cmp -s "$dist_csv" "$specout/dist-file/results.csv" || {
+cmp -s "$dist_csv" "$specout/dist-ref/results.csv" || {
     echo "worker-fleet results.csv diverges from the single-process sweep:" >&2
-    diff "$dist_csv" "$specout/dist-file/results.csv" | head >&2
+    diff "$dist_csv" "$specout/dist-ref/results.csv" | head >&2
     exit 1
 }
 grep -q 'arm done' "$specout/dist-w1.log" || { echo "surviving worker executed no arms" >&2; cat "$specout/dist-w1.log" >&2; exit 1; }
@@ -265,7 +277,7 @@ serve_pid=""
 # Restart over the same store, no fleet: the resubmission is served
 # entirely from the cluster-shared cache.
 "$specout/dlsim" serve -addr 127.0.0.1:0 -scale tiny \
-    -checkpoint "$dckpt" -store "$dckpt/store" >"$specout/dist2.log" 2>&1 &
+    -checkpoint "$dckpt" >"$specout/dist2.log" 2>&1 &
 serve_pid=$!
 base=""
 i=0
@@ -300,10 +312,11 @@ echo "distributed smoke ok"
 # must finish its leased arm, upload it, and deregister cleanly, and
 # the sweep's results.csv must still be byte-identical to the
 # single-process baseline. statz must show the penalty counters and
-# the per-worker table.
+# the per-worker table. This server keeps its store outside the
+# checkpoint directory (-store), the override of the default location.
 hckpt="$specout/heal-ckpt"
 "$specout/dlsim" serve -addr 127.0.0.1:0 -scale tiny \
-    -checkpoint "$hckpt" -store "$hckpt/store" -lease 2s >"$specout/heal.log" 2>&1 &
+    -checkpoint "$hckpt" -store "$specout/heal-store" -lease 2s >"$specout/heal.log" 2>&1 &
 serve_pid=$!
 base=""
 i=0
@@ -338,11 +351,15 @@ kill -TERM "$hw2_pid" 2>/dev/null || true
 wait "$run_pid" || { echo "self-heal run failed" >&2; cat "$specout/heal-run.log" >&2; exit 1; }
 heal_csv=$(find "$hckpt" -name results.csv | head -n 1)
 [ -n "$heal_csv" ] || { echo "self-heal run left no results.csv" >&2; exit 1; }
-cmp -s "$heal_csv" "$specout/dist-file/results.csv" || {
+cmp -s "$heal_csv" "$specout/dist-ref/results.csv" || {
     echo "self-heal fleet results.csv diverges from the single-process sweep:" >&2
-    diff "$heal_csv" "$specout/dist-file/results.csv" | head >&2
+    diff "$heal_csv" "$specout/dist-ref/results.csv" | head >&2
     exit 1
 }
+if [ ! -f "$specout/heal-store/wal.log" ] || [ -d "$hckpt/store" ]; then
+    echo "serve -store did not move the result store out of the checkpoint dir" >&2
+    exit 1
+fi
 wait "$hw2_pid" 2>/dev/null || true
 grep -q 'arm done' "$specout/heal-good2.log" || { echo "drained worker never finished its leased arm" >&2; cat "$specout/heal-good2.log" >&2; exit 1; }
 grep -q 'deregistered' "$specout/heal-good2.log" || { echo "drained worker never deregistered" >&2; cat "$specout/heal-good2.log" >&2; exit 1; }
